@@ -39,6 +39,55 @@ class Route:
             raise PrefixError(f"next hop must be non-negative, got {self.next_hop}")
 
 
+class _Columns:
+    """Per-route value/mask/length/next-hop columns for the vectorized
+    linear scan, one slot per route.
+
+    A withdrawn route's slot goes on a free list and is made dead
+    (length -1, the score of a miss) until a new route reuses it, so
+    an update costs O(1) instead of a rebuild from the dict.
+    """
+
+    __slots__ = ("slot", "free", "size", "values", "masks", "lengths", "hops")
+
+    def __init__(self, routes: dict[Prefix, int]):
+        self.slot = {prefix: i for i, prefix in enumerate(routes)}
+        self.free: list[int] = []
+        self.size = len(routes)
+        self.values = np.array([p.value for p in routes], dtype=np.uint32)
+        self.masks = np.array([p.mask() for p in routes], dtype=np.uint32)
+        self.lengths = np.array([p.length for p in routes], dtype=np.int16)
+        self.hops = np.array(list(routes.values()), dtype=np.int64)
+
+    def put(self, prefix: Prefix, next_hop: int) -> None:
+        i = self.slot.get(prefix)
+        if i is None:
+            if self.free:
+                i = self.free.pop()
+            else:
+                i = self.size
+                self.size += 1
+                if i == len(self.values):
+                    self._grow()
+            self.slot[prefix] = i
+            self.values[i] = prefix.value
+            self.masks[i] = prefix.mask()
+            self.lengths[i] = prefix.length
+        self.hops[i] = next_hop
+
+    def drop(self, prefix: Prefix) -> None:
+        i = self.slot.pop(prefix)
+        self.lengths[i] = -1  # scores as "no match" whatever the address
+        self.free.append(i)
+
+    def _grow(self) -> None:
+        # slots past ``size`` are never scanned, so their contents do not matter
+        extra = max(16, len(self.values))
+        for name in ("values", "masks", "lengths", "hops"):
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate([column, np.zeros(extra, dtype=column.dtype)]))
+
+
 @dataclass
 class RoutingTable:
     """An ordered, duplicate-free collection of routes.
@@ -49,6 +98,14 @@ class RoutingTable:
 
     name: str = "rib"
     _routes: dict[Prefix, int] = field(default_factory=dict)
+    # lookup_linear_batch's columns: built on its first call, kept in
+    # step by add/remove, and never compared, printed or pickled
+    _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_columns"] = None
+        return state
 
     # -- construction -------------------------------------------------
 
@@ -98,10 +155,14 @@ class RoutingTable:
         if next_hop < 0:
             raise PrefixError(f"next hop must be non-negative, got {next_hop}")
         self._routes[prefix] = next_hop
+        if self._columns is not None:
+            self._columns.put(prefix, next_hop)
 
     def remove(self, prefix: Prefix) -> None:
         """Withdraw the route for ``prefix`` (KeyError if absent)."""
         del self._routes[prefix]
+        if self._columns is not None:
+            self._columns.drop(prefix)
 
     # -- access --------------------------------------------------------
 
@@ -167,24 +228,24 @@ class RoutingTable:
     def lookup_linear_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorized linear-scan LPM over many addresses.
 
-        Evaluates every (address, prefix) pair with NumPy broadcasting;
+        Evaluates every (address, route) pair with NumPy broadcasting;
         still O(n·m) work but without the Python-level inner loop, so
-        property tests can use large batches cheaply.
+        property tests can use large batches cheaply.  The route
+        columns it scans are kept across calls (see :class:`_Columns`).
         """
         addresses = np.asarray(addresses, dtype=np.uint32)
         if not self._routes:
             return np.full(addresses.shape, NO_ROUTE, dtype=np.int64)
-        prefixes = list(self._routes)
-        values = np.array([p.value for p in prefixes], dtype=np.uint32)
-        masks = np.array([p.mask() for p in prefixes], dtype=np.uint32)
-        lengths = np.array([p.length for p in prefixes], dtype=np.int64)
-        hops = np.array([self._routes[p] for p in prefixes], dtype=np.int64)
-        # matches[i, j] — does prefix j contain address i?
-        matches = (addresses[:, None] & masks[None, :]) == values[None, :]
+        if self._columns is None:
+            self._columns = _Columns(self._routes)
+        cols = self._columns
+        size = cols.size
+        # matches[i, j] — does route slot j contain address i?
+        matches = (addresses[:, None] & cols.masks[None, :size]) == cols.values[None, :size]
         # pick the longest matching prefix per address
-        scored = np.where(matches, lengths[None, :], -1)
+        scored = np.where(matches, cols.lengths[None, :size], -1)
         best = scored.argmax(axis=1)
-        result = hops[best]
+        result = cols.hops[best]
         result[scored[np.arange(len(addresses)), best] < 0] = NO_ROUTE
         return result
 

@@ -35,9 +35,8 @@ NONE = -1
 class FrozenWalk:
     """Immutable structure-of-arrays snapshot of a trie's lookup state.
 
-    Built once by :meth:`UnibitTrie._freeze` (and dropped on any
-    mutating insert/remove); every array is laid out so the batch walk
-    is one gather per level with no per-call setup:
+    Built by :meth:`UnibitTrie._freeze`; every array is laid out so the
+    batch walk is one gather per level with no per-call setup:
 
     * ``childflat`` — child indices indexed ``(node << 1) | bit``;
       a missing child self-loops, so a lane whose walk terminated
@@ -50,6 +49,11 @@ class FrozenWalk:
       address bits resolving the first ``jump_stride`` levels in one
       gather (the :class:`~repro.virt.merged.MergedTrie` root jump
       table, generalized to non-leaf-pushed tries).
+
+    A snapshot is never written after construction.  An update to the
+    trie leaves it answering the table as it was, and the next freeze
+    derives a new snapshot from it, copying only the arrays the
+    pending updates touch (see :meth:`UnibitTrie.freeze`).
     """
 
     left: np.ndarray
@@ -61,6 +65,28 @@ class FrozenWalk:
     jump: np.ndarray
     jump_stride: int
     depth: int
+
+    def walk(self, addresses: np.ndarray, width: int = 32) -> tuple[np.ndarray, np.ndarray]:
+        """Per-address depth reached and LPM result on this snapshot."""
+        addr64 = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
+        stride = self.jump_stride
+        if stride:
+            node = self.jump[addr64 >> (width - stride)]
+        else:
+            node = np.zeros(len(addr64), dtype=np.int64)
+        childflat = self.childflat
+        for lvl in range(stride, self.depth):
+            node = childflat[(node << 1) | ((addr64 >> (width - 1 - lvl)) & 1)]
+        return self.levels[node], self.best[node]
+
+
+def _jump_walk(childflat: np.ndarray, patterns: np.ndarray, stride: int) -> np.ndarray:
+    """Node reached (or parked on) from the root after each
+    ``stride``-bit pattern: the jump-table entries for ``patterns``."""
+    node = np.zeros(len(patterns), dtype=np.int64)
+    for lvl in range(stride):
+        node = childflat[(node << 1) | ((patterns >> (stride - 1 - lvl)) & 1)]
+    return node
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,8 +135,12 @@ class UnibitTrie:
         "_right",
         "_nhi",
         "_level",
+        "_level_count",
         "_prefix_count",
         "_frozen",
+        "_base",
+        "_capacity",
+        "_pending",
         "_free",
         "width",
     )
@@ -123,8 +153,18 @@ class UnibitTrie:
         self._right: list[int] = [NONE]
         self._nhi: list[int] = [NO_ROUTE]
         self._level: list[int] = [0]
+        # live nodes per level, so depth() needs no traversal
+        self._level_count: list[int] = [1] + [0] * width
         self._prefix_count = 0
+        # the current snapshot, None while updates are pending
         self._frozen: FrozenWalk | None = None
+        # the last snapshot built, kept for patching after updates;
+        # _capacity is 0 while it has the compact fresh layout
+        self._base: FrozenWalk | None = None
+        self._capacity = 0
+        # (prefix, split level) per update since _base was built, or
+        # None when the next freeze must be a full build
+        self._pending: list[tuple[Prefix, int]] | None = None
         # indices of withdrawn (unlinked) nodes available for reuse —
         # route withdrawal recycles storage instead of compacting
         self._free: list[int] = []
@@ -135,6 +175,7 @@ class UnibitTrie:
     # -- construction --------------------------------------------------
 
     def _new_node(self, level: int) -> int:
+        self._level_count[level] += 1
         if self._free:
             node = self._free.pop()
             self._left[node] = NONE
@@ -147,6 +188,22 @@ class UnibitTrie:
         self._nhi.append(NO_ROUTE)
         self._level.append(level)
         return len(self._left) - 1
+
+    def _touch(self, prefix: Prefix, split: int) -> None:
+        """Mark the snapshot stale after an update along ``prefix``.
+
+        ``split`` is the level of the node whose children changed (-1
+        when only an NHI changed).  The update is queued for the next
+        freeze to patch in; past ``16 + slots/32`` queued updates a
+        full build is cheaper, so the queue is dropped instead.
+        """
+        self._frozen = None
+        pending = self._pending
+        if pending is not None:
+            if len(pending) < 16 + (len(self._left) >> 5):
+                pending.append((prefix, split))
+            else:
+                self._pending = None
 
     def insert(self, prefix: Prefix, next_hop: int) -> bool:
         """Insert ``prefix`` → ``next_hop``; re-insertion overwrites.
@@ -165,7 +222,7 @@ class UnibitTrie:
                 f"prefix length {prefix.length} exceeds trie width {self.width}"
             )
         node = 0
-        created = False
+        split = -1
         for level in range(prefix.length):
             bit = prefix.bit(level)
             children = self._right if bit else self._left
@@ -173,14 +230,15 @@ class UnibitTrie:
             if child == NONE:
                 child = self._new_node(level + 1)
                 children[node] = child
-                created = True
+                if split < 0:
+                    split = level
             node = child
         if self._nhi[node] == NO_ROUTE:
             self._prefix_count += 1
-        changed = created or self._nhi[node] != next_hop
-        if changed:
-            self._frozen = None
+        changed = split >= 0 or self._nhi[node] != next_hop
         self._nhi[node] = next_hop
+        if changed:
+            self._touch(prefix, split)
         return changed
 
     def remove(self, prefix: Prefix) -> bool:
@@ -200,10 +258,10 @@ class UnibitTrie:
             path.append(node)
         if self._nhi[node] == NO_ROUTE:
             return False
-        self._frozen = None
         self._nhi[node] = NO_ROUTE
         self._prefix_count -= 1
         # prune upward: drop nodes that are now childless and carry no NHI
+        split = -1
         for depth in range(len(path) - 1, 0, -1):
             child = path[depth]
             if not self.is_leaf(child) or self._nhi[child] != NO_ROUTE:
@@ -214,6 +272,9 @@ class UnibitTrie:
             else:
                 self._right[parent] = NONE
             self._free.append(child)
+            self._level_count[depth] -= 1
+            split = depth - 1
+        self._touch(prefix, split)
         return True
 
     # -- structure access ----------------------------------------------
@@ -299,82 +360,249 @@ class UnibitTrie:
 
     def _freeze(self) -> FrozenWalk:
         if self._frozen is None:
-            left = np.asarray(self._left, dtype=np.int64)
-            right = np.asarray(self._right, dtype=np.int64)
-            nhi = np.asarray(self._nhi, dtype=np.int64)
-            levels = np.asarray(self._level, dtype=np.int64)
-            n = len(left)
-            identity = np.arange(n, dtype=np.int64)
-            # parent pointers (root and freed slots point at themselves)
-            parent = identity.copy()
-            has_left = left != NONE
-            parent[left[has_left]] = identity[has_left]
-            has_right = right != NONE
-            parent[right[has_right]] = identity[has_right]
-            # best[node] = nearest ancestor-or-self NHI, propagated one
-            # level at a time (a child's parent is always one level up,
-            # so each level's gather reads already-final values).
-            depth = self.depth()
-            best = nhi.copy()
-            order = np.argsort(levels, kind="stable")
-            starts = np.searchsorted(levels[order], np.arange(depth + 2))
-            for lvl in range(1, depth + 1):
-                at = order[starts[lvl] : starts[lvl + 1]]
-                own = nhi[at]
-                best[at] = np.where(own != NO_ROUTE, own, best[parent[at]])
-            # child targets: a childless node self-loops (parking is
-            # safe — no bit can leave it), but a node with exactly one
-            # child must NOT self-loop on its missing side, or a later
-            # address bit would un-park the lane into the live child.
-            # Each such slot gets a dedicated parked node carrying the
-            # parent's level/best; parked nodes self-loop both ways.
-            # A full (leaf-pushed) trie has no such slots, so its
-            # childflat is exactly the merged-engine layout.
-            childless = (left == NONE) & (right == NONE)
-            lx = np.where(left == NONE, identity, left)
-            rx = np.where(right == NONE, identity, right)
-            miss_left = np.flatnonzero((left == NONE) & ~childless)
-            miss_right = np.flatnonzero((right == NONE) & ~childless)
-            parked_parents = np.concatenate([miss_left, miss_right])
-            m = len(parked_parents)
-            parked = n + np.arange(m, dtype=np.int64)
-            lx[miss_left] = parked[: len(miss_left)]
-            rx[miss_right] = parked[len(miss_left) :]
-            childflat = np.empty(2 * (n + m), dtype=np.int64)
-            childflat[0 : 2 * n : 2] = lx
-            childflat[1 : 2 * n : 2] = rx
-            childflat[2 * n :: 2] = parked
-            childflat[2 * n + 1 :: 2] = parked
-            levels_walk = np.concatenate([levels, levels[parked_parents]])
-            best_walk = np.concatenate([best, best[parked_parents]])
-            # jump table over the top stride bits: entry p is the node
-            # reached (or parked on) after walking bit pattern p.
-            stride = min(self.JUMP_STRIDE, depth)
-            patterns = np.arange(1 << stride, dtype=np.int64)
-            jump = np.zeros(1 << stride, dtype=np.int64)
-            for lvl in range(stride):
-                bits = (patterns >> (stride - 1 - lvl)) & 1
-                jump = childflat[(jump << 1) | bits]
-            self._frozen = FrozenWalk(
-                left=left,
-                right=right,
-                nhi=nhi,
-                levels=levels_walk,
-                childflat=childflat,
-                best=best_walk,
-                jump=jump,
-                jump_stride=stride,
-                depth=depth,
-            )
+            frozen = None
+            if self._base is not None and self._pending is not None:
+                frozen = self._patch(self._base, self._pending)
+            kind = "patch"
+            if frozen is None:
+                frozen = self._build()
+                self._capacity = 0
+                kind = "full"
+            if REGISTRY.enabled:  # one branch per freeze; zero overhead off
+                REGISTRY.counter(
+                    "repro_trie_freezes_total",
+                    "Frozen walk snapshots built: from scratch or patched after updates",
+                    labels=("kind",),
+                ).labels(kind).inc()
+            self._frozen = self._base = frozen
+            self._pending = []
         return self._frozen
+
+    def _build(self) -> FrozenWalk:
+        """A snapshot from scratch, in the compact layout."""
+        left = np.asarray(self._left, dtype=np.int64)
+        right = np.asarray(self._right, dtype=np.int64)
+        nhi = np.asarray(self._nhi, dtype=np.int64)
+        levels = np.asarray(self._level, dtype=np.int64)
+        n = len(left)
+        identity = np.arange(n, dtype=np.int64)
+        # parent pointers (root and freed slots point at themselves)
+        parent = identity.copy()
+        has_left = left != NONE
+        parent[left[has_left]] = identity[has_left]
+        has_right = right != NONE
+        parent[right[has_right]] = identity[has_right]
+        # best[node] = nearest ancestor-or-self NHI, propagated one
+        # level at a time (a child's parent is always one level up,
+        # so each level's gather reads already-final values).
+        depth = self.depth()
+        best = nhi.copy()
+        order = np.argsort(levels, kind="stable")
+        starts = np.searchsorted(levels[order], np.arange(depth + 2))
+        for lvl in range(1, depth + 1):
+            at = order[starts[lvl] : starts[lvl + 1]]
+            own = nhi[at]
+            best[at] = np.where(own != NO_ROUTE, own, best[parent[at]])
+        # child targets: a childless node self-loops (parking is
+        # safe — no bit can leave it), but a node with exactly one
+        # child must NOT self-loop on its missing side, or a later
+        # address bit would un-park the lane into the live child.
+        # Each such slot gets a dedicated parked node carrying the
+        # parent's level/best; parked nodes self-loop both ways.
+        # A full (leaf-pushed) trie has no such slots, so its
+        # childflat is exactly the merged-engine layout.
+        childless = (left == NONE) & (right == NONE)
+        lx = np.where(left == NONE, identity, left)
+        rx = np.where(right == NONE, identity, right)
+        miss_left = np.flatnonzero((left == NONE) & ~childless)
+        miss_right = np.flatnonzero((right == NONE) & ~childless)
+        parked_parents = np.concatenate([miss_left, miss_right])
+        m = len(parked_parents)
+        parked = n + np.arange(m, dtype=np.int64)
+        lx[miss_left] = parked[: len(miss_left)]
+        rx[miss_right] = parked[len(miss_left) :]
+        childflat = np.empty(2 * (n + m), dtype=np.int64)
+        childflat[0 : 2 * n : 2] = lx
+        childflat[1 : 2 * n : 2] = rx
+        childflat[2 * n :: 2] = parked
+        childflat[2 * n + 1 :: 2] = parked
+        levels_walk = np.concatenate([levels, levels[parked_parents]])
+        best_walk = np.concatenate([best, best[parked_parents]])
+        # jump table over the top stride bits: entry p is the node
+        # reached (or parked on) after walking bit pattern p.
+        stride = min(self.JUMP_STRIDE, depth)
+        jump = _jump_walk(childflat, np.arange(1 << stride, dtype=np.int64), stride)
+        return FrozenWalk(
+            left=left,
+            right=right,
+            nhi=nhi,
+            levels=levels_walk,
+            childflat=childflat,
+            best=best_walk,
+            jump=jump,
+            jump_stride=stride,
+            depth=depth,
+        )
+
+    def _relayout(self, base: FrozenWalk) -> FrozenWalk:
+        """``base`` (compact) re-laid out for patching.
+
+        Trie slots get headroom up to a capacity of an eighth above
+        the slot count, and every slot ``i`` gets its own parked slot
+        at ``capacity + i``, so a node created or newly left with one
+        child needs no index shuffling.  Unused slots self-loop.
+        """
+        n = len(base.left)
+        cap = n + (n >> 3) + 64
+        remap = np.arange(len(base.levels), dtype=np.int64)
+        flat = base.childflat[: 2 * n]
+        at = np.flatnonzero(flat >= n)
+        remap[flat[at]] = cap + (at >> 1)
+        childflat = np.repeat(np.arange(2 * cap, dtype=np.int64), 2)
+        childflat[: 2 * n] = remap[flat]
+        levels = np.zeros(2 * cap, dtype=np.int64)
+        levels[:n] = levels[cap : cap + n] = base.levels[:n]
+        best = np.full(2 * cap, NO_ROUTE, dtype=np.int64)
+        best[:n] = best[cap : cap + n] = base.best[:n]
+        slots = []
+        for array, fill in ((base.left, NONE), (base.right, NONE), (base.nhi, NO_ROUTE)):
+            padded = np.full(cap, fill, dtype=np.int64)
+            padded[:n] = array
+            slots.append(padded)
+        self._capacity = cap
+        return FrozenWalk(
+            left=slots[0],
+            right=slots[1],
+            nhi=slots[2],
+            levels=levels,
+            childflat=childflat,
+            best=best,
+            jump=remap[base.jump],
+            jump_stride=base.jump_stride,
+            depth=base.depth,
+        )
+
+    def _patch(self, base: FrozenWalk, pending: list[tuple[Prefix, int]]) -> FrozenWalk | None:
+        """The next snapshot derived from ``base`` and the ``pending``
+        updates, or None when only a full build will do (the jump
+        stride changed, or the slots outgrew the capacity).
+
+        ``base`` is never written: every array a patch changes is
+        copied first, the rest are shared with the new snapshot.
+        """
+        depth = self.depth()
+        stride = min(self.JUMP_STRIDE, depth)
+        if stride != base.jump_stride:
+            return None
+        if not self._capacity:
+            base = self._relayout(base)
+        cap = self._capacity
+        if len(self._left) > cap:
+            return None
+        left_of, right_of, nhi_of = self._left, self._right, self._nhi
+        # Every node an update changed lies on the current path of its
+        # prefix: the nodes it created, the one that gained or lost a
+        # child, the one whose NHI changed.  Walk each path once,
+        # carrying the nearest-ancestor NHI (the node's best) down it.
+        best_of: dict[int, int] = {}
+        ranges: set[tuple[int, int]] = set()
+        structural = False
+        for prefix, split in pending:
+            node = 0
+            run = nhi_of[0]
+            best_of[0] = run
+            for level in range(prefix.length):
+                node = right_of[node] if prefix.bit(level) else left_of[node]
+                if node == NONE:
+                    break
+                if nhi_of[node] != NO_ROUTE:
+                    run = nhi_of[node]
+                best_of[node] = run
+            if split >= 0:
+                structural = True
+                if split < stride:
+                    # the jump entries under the node at ``split``
+                    top = 0
+                    for level in range(split):
+                        top = (top << 1) | prefix.bit(level)
+                    ranges.add((top << (stride - split), 1 << (stride - split)))
+        count = len(best_of)
+        touched = np.fromiter(best_of, dtype=np.int64, count=count)
+        values = np.fromiter(best_of.values(), dtype=np.int64, count=count)
+        nhi = base.nhi.copy()
+        nhi[touched] = np.fromiter((nhi_of[i] for i in best_of), dtype=np.int64, count=count)
+        best = base.best.copy()
+        changed = touched[best[touched] != values]
+        best[touched] = values
+        best[touched + cap] = values
+        left, right, levels = base.left, base.right, base.levels
+        childflat, jump = base.childflat, base.jump
+        if structural:
+            lv = np.fromiter((left_of[i] for i in best_of), dtype=np.int64, count=count)
+            rv = np.fromiter((right_of[i] for i in best_of), dtype=np.int64, count=count)
+            lev = np.fromiter((self._level[i] for i in best_of), dtype=np.int64, count=count)
+            left = left.copy()
+            left[touched] = lv
+            right = right.copy()
+            right[touched] = rv
+            levels = levels.copy()
+            levels[touched] = lev
+            levels[touched + cap] = lev
+            # same targets as a fresh build: childless self-loops, a
+            # missing side of a one-child node goes to its parked slot
+            parked = touched + cap
+            childflat = childflat.copy()
+            childflat[touched << 1] = np.where(
+                lv == NONE, np.where(rv == NONE, touched, parked), lv
+            )
+            childflat[(touched << 1) | 1] = np.where(
+                rv == NONE, np.where(lv == NONE, touched, parked), rv
+            )
+            if ranges:
+                jump = jump.copy()
+                for lo, span in ranges:
+                    patterns = np.arange(lo, lo + span, dtype=np.int64)
+                    jump[lo : lo + span] = _jump_walk(childflat, patterns, stride)
+        # a changed best flows down to every descendant without its
+        # own NHI, one level per step
+        front = changed
+        while len(front):
+            kids = np.concatenate([left[front], right[front]])
+            parents = np.concatenate([front, front])
+            real = kids != NONE
+            kids, parents = kids[real], parents[real]
+            inherit = nhi[kids] == NO_ROUTE
+            kids = kids[inherit]
+            inherited = best[parents[inherit]]
+            best[kids] = inherited
+            best[kids + cap] = inherited
+            front = kids
+        return FrozenWalk(
+            left=left,
+            right=right,
+            nhi=nhi,
+            levels=levels,
+            childflat=childflat,
+            best=best,
+            jump=jump,
+            jump_stride=stride,
+            depth=depth,
+        )
 
     def freeze(self) -> FrozenWalk:
         """Build (or return) the frozen structure-of-arrays walk state.
 
         The serving layer calls this at service build time so the
-        first served batch does not pay the freeze cost; any mutating
-        :meth:`insert`/:meth:`remove` afterwards invalidates the
-        snapshot and the next batch re-freezes transparently.
+        first served batch does not pay the freeze cost.  An
+        :meth:`insert`/:meth:`remove` afterwards leaves the returned
+        snapshot answering the old table; the next freeze (or batch)
+        patches a new snapshot from it copy-on-write, touching only
+        the nodes on the updated prefixes' paths, their parked slots,
+        the jump entries under a changed node above the jump stride
+        and ``best`` down a subtree whose inherited NHI changed.  A
+        full build happens instead on the first freeze, after more
+        pending updates than ``16 + slots/32``, when the slots outgrow
+        the patch capacity, or when the jump stride changes.
         """
         return self._freeze()
 
@@ -396,10 +624,11 @@ class UnibitTrie:
     def walk_batch(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized walk: per-address depth reached and LPM result.
 
-        Runs over the :class:`FrozenWalk` snapshot: the root jump
-        table resolves the first ``jump_stride`` levels with a single
-        gather, every remaining level is one gather over the flat
-        self-looping child array, and the per-lane depth and LPM
+        Runs over the current :class:`FrozenWalk` snapshot (patched
+        first if updates are pending, see :meth:`freeze`): the root
+        jump table resolves the first ``jump_stride`` levels with a
+        single gather, every remaining level is one gather over the
+        flat self-looping child array, and the per-lane depth and LPM
         answer come from two final gathers (``levels`` / ``best``) —
         no per-call array setup and no per-level masking.  The depth
         is the number of levels the walk descended — the quantity the
@@ -420,25 +649,13 @@ class UnibitTrie:
                     labels=("structure",),
                 ).labels("unibit").inc(int(depths6.sum()) + n)
             return depths6, results6
-        frozen = self._freeze()
-        addresses = np.asarray(addresses, dtype=np.uint32)
-        addr64 = addresses.astype(np.int64)
-        stride = frozen.jump_stride
-        if stride:
-            node = frozen.jump[addr64 >> (self.width - stride)]
-        else:
-            node = np.zeros(len(addresses), dtype=np.int64)
-        childflat = frozen.childflat
-        for lvl in range(stride, frozen.depth):
-            node = childflat[(node << 1) | ((addr64 >> (self.width - 1 - lvl)) & 1)]
-        depths = frozen.levels[node]
-        best = frozen.best[node]
+        depths, best = self._freeze().walk(addresses, self.width)
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
             REGISTRY.counter(
                 "repro_trie_node_visits_total",
                 "Trie nodes touched by batch walks (root included)",
                 labels=("structure",),
-            ).labels("unibit").inc(int(depths.sum()) + len(addresses))
+            ).labels("unibit").inc(int(depths.sum()) + len(depths))
         return depths, best
 
     def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:
@@ -453,12 +670,15 @@ class UnibitTrie:
 
     def depth(self) -> int:
         """Maximum *reachable* node level."""
-        return max(self._level[node] for node in self.live_nodes())
+        counts = self._level_count
+        level = len(counts) - 1
+        while not counts[level]:
+            level -= 1
+        return level
 
     def stats(self) -> TrieStats:
         """Compute structural statistics over reachable nodes."""
-        levels = [self._level[node] for node in self.live_nodes()]
-        depth = max(levels)
+        depth = self.depth()
         nodes_per = [0] * (depth + 1)
         internal_per = [0] * (depth + 1)
         leaves_per = [0] * (depth + 1)
@@ -506,7 +726,8 @@ class UnibitTrie:
 
         Invariants: child levels are parent level + 1, every reachable
         non-root node is referenced exactly once, no child index is
-        out of range, and freed slots are never referenced.
+        out of range, freed slots are never referenced, and the
+        per-level live-node counts behind :meth:`depth` are exact.
         """
         n = len(self._left)
         free = set(self._free)
@@ -538,4 +759,12 @@ class UnibitTrie:
             raise TrieError(
                 f"{n - len(reachable) - len(free)} slots leaked "
                 "(neither reachable nor on the free list)"
+            )
+        per_level = [0] * len(self._level_count)
+        for node in reachable:
+            per_level[self._level[node]] += 1
+        if per_level != self._level_count:
+            raise TrieError(
+                f"live nodes per level {per_level} disagree with the "
+                f"maintained counts {self._level_count}"
             )

@@ -69,9 +69,9 @@ class MergedTrie:
     :class:`repro.virt.manager.VirtualRouterManager`), mirroring the
     shadow-table update pattern of the authors' FPL'11 companion
     work.  Freezing the child/leaf/NHI-matrix arrays once here is
-    therefore sound — there is no invalidation path to miss, unlike
-    :class:`~repro.iplookup.trie.UnibitTrie` whose ``_frozen`` cache
-    must be dropped on every mutating insert/remove.
+    therefore sound — there is no update path to miss, unlike
+    :class:`~repro.iplookup.trie.UnibitTrie`, whose frozen snapshot
+    is patched after every mutating insert/remove.
     """
 
     #: root-stride of the precomputed jump table (a 2^s-entry direct

@@ -9,8 +9,9 @@ refactors, and Hypothesis pins the contracts:
   ``np.flatnonzero(vnids == i)`` partition, and gather/scatter through
   ``order`` is a true inverse pair;
 * a frozen engine's ``walk_batch`` equals the scalar ``lookup`` loop,
-  and any mutation invalidates the snapshot so the next batch sees the
-  updated table.
+  and after any mutation the next batch sees the updated table (the
+  snapshot is patched copy-on-write; ``test_trie_patch_props.py``
+  covers the patching itself).
 """
 
 import numpy as np
@@ -108,7 +109,8 @@ def test_frozen_walk_equals_scalar(routes, addresses):
 @settings(max_examples=100, deadline=None)
 def test_mutation_invalidates_frozen_snapshot(routes, addresses, extra, nh):
     """freeze -> insert -> batch must see the new route; freeze ->
-    remove -> batch must not resurrect the old one."""
+    remove -> batch must not resurrect the old one (the stale snapshot
+    is replaced by a patched one, never read for the new table)."""
     trie = UnibitTrie(build_table(routes))
     addrs = np.array(addresses, dtype=np.uint32)
 

@@ -129,3 +129,40 @@ class TestValidate:
                 break
         with pytest.raises(TrieError):
             t.validate()
+
+
+class TestFreezeTelemetry:
+    def test_updates_between_lookups_are_patches(self):
+        """One build, then 100 updates each followed by a lookup: one
+        full freeze, every later freeze a patch."""
+        from repro.iplookup.rib import RoutingTable
+        from repro.obs.registry import REGISTRY
+
+        pool = [parse_prefix(f"10.{i}.{i * 7 % 256}.0/24") for i in range(10)]
+        # the deep anchor keeps the depth (and so the jump stride) fixed
+        table = RoutingTable.from_strings([("1.2.3.4/32", 0)])
+        for i, prefix in enumerate(pool):
+            table.add(prefix, i)
+        addresses = np.array([p.value | 5 for p in pool], dtype=np.uint32)
+        with REGISTRY.enabled_scope():
+            family = REGISTRY.counter(
+                "repro_trie_freezes_total",
+                "Frozen walk snapshots built: from scratch or patched after updates",
+                labels=("kind",),
+            )
+            full0 = family.labels("full").value
+            patch0 = family.labels("patch").value
+            trie = UnibitTrie(table)
+            trie.lookup_batch(addresses)
+            live = set(pool)
+            for i in range(100):
+                prefix = pool[i % len(pool)]
+                if prefix in live:
+                    assert trie.remove(prefix)
+                    live.discard(prefix)
+                else:
+                    assert trie.insert(prefix, i)
+                    live.add(prefix)
+                trie.lookup_batch(addresses)
+            assert family.labels("full").value - full0 == 1
+            assert family.labels("patch").value - patch0 == 100
