@@ -4,9 +4,11 @@ The paper maps one trie level to one pipeline stage (Section V-D), so
 the trie is the structure from which all per-stage memory statistics
 derive.  Nodes are stored in parallel arrays (structure-of-arrays)
 rather than linked objects: child links are integer indices, which
-keeps builds allocation-light and lets batch lookups run as NumPy
-gather loops over levels — 32 vectorized steps instead of a Python
-loop per packet (see the HPC guide on vectorizing for-loops).
+keeps builds allocation-light and lets batch lookups run as a few
+whole-batch NumPy gathers instead of a Python loop per packet: one
+over a 16-bit root jump table, then one per 8-bit expansion window
+(at most two for IPv4), each landing on the same unibit node the
+bit-by-bit walk reaches, so depth and answer stay exact.
 
 Node index 0 is always the root.  A node is a *leaf* when it has no
 children; next-hop information (NHI) may sit on any node in a plain
@@ -30,13 +32,18 @@ __all__ = ["UnibitTrie", "TrieStats", "FrozenWalk", "NONE"]
 #: sentinel child index meaning "no child"
 NONE = -1
 
+#: dtype of the expansion rows and their index: half the bytes of the
+#: int64 walk arrays, so a patch copies and a walk gathers less
+ROW = np.int32
+
 
 @dataclass(frozen=True, slots=True)
 class FrozenWalk:
     """Immutable structure-of-arrays snapshot of a trie's lookup state.
 
     Built by :meth:`UnibitTrie._freeze`; every array is laid out so the
-    batch walk is one gather per level with no per-call setup:
+    batch walk is a handful of whole-batch gathers with no per-call
+    setup:
 
     * ``childflat`` — child indices indexed ``(node << 1) | bit``;
       a missing child self-loops, so a lane whose walk terminated
@@ -48,16 +55,28 @@ class FrozenWalk:
     * ``jump`` — a ``2^jump_stride``-entry direct index over the top
       address bits resolving the first ``jump_stride`` levels in one
       gather (the :class:`~repro.virt.merged.MergedTrie` root jump
-      table, generalized to non-leaf-pushed tries).
+      table, generalized to non-leaf-pushed tries);
+    * ``windows`` / ``rowof`` / ``rows`` — the expansion windows after
+      the jump, ``(start level, bits)`` each: ``[16, 24)`` and
+      ``[24, 32)``, the last one cut short at ``depth`` (none for
+      tries wider than 32 bits, which walk scalar).  Every internal
+      node at a window's start level owns one row of ``2^bits``
+      entries in ``rows``; entry ``p`` is the node reached (or parked
+      on) after walking pattern ``p`` from it.  ``rowof`` maps every
+      walk slot to its row's first entry, or -1 for a node without a
+      row, whose lanes stay where they are.
 
-    A snapshot is never written after construction.  An update to the
-    trie leaves it answering the table as it was, and the next freeze
-    derives a new snapshot from it, copying only the arrays the
-    pending updates touch (see :meth:`UnibitTrie.freeze`).
+    Rows hold nodes, not answers, so the walk still ends on the exact
+    unibit node: ``levels``/``best`` give the same depth (per-stage
+    accesses) and LPM result as the bit-by-bit walk.
+
+    A snapshot is never written after construction: every array it
+    holds is made read-only here.  An update to the trie leaves it
+    answering the table as it was, and the next freeze derives a new
+    snapshot from it, copying only the arrays the pending updates
+    touch (see :meth:`UnibitTrie.freeze`).
     """
 
-    left: np.ndarray
-    right: np.ndarray
     nhi: np.ndarray
     levels: np.ndarray
     childflat: np.ndarray
@@ -65,28 +84,69 @@ class FrozenWalk:
     jump: np.ndarray
     jump_stride: int
     depth: int
+    windows: tuple[tuple[int, int], ...] = ()
+    rowof: tuple[np.ndarray, ...] = ()
+    rows: tuple[np.ndarray, ...] = ()
 
-    def walk(self, addresses: np.ndarray, width: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Per-address depth reached and LPM result on this snapshot."""
+    def __post_init__(self) -> None:
+        arrays = (self.nhi, self.levels, self.childflat, self.best, self.jump,
+                  *self.rowof, *self.rows)
+        for array in arrays:
+            array.setflags(write=False)
+
+    def final_nodes(self, addresses: np.ndarray, width: int = 32) -> np.ndarray:
+        """Per-address node the walk ends on: one gather through the
+        root jump table, then one row gather per expansion window."""
         addr64 = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
         stride = self.jump_stride
         if stride:
             node = self.jump[addr64 >> (width - stride)]
         else:
             node = np.zeros(len(addr64), dtype=np.int64)
-        childflat = self.childflat
-        for lvl in range(stride, self.depth):
-            node = childflat[(node << 1) | ((addr64 >> (width - 1 - lvl)) & 1)]
+        for (start, bits), rowof, rows in zip(self.windows, self.rowof, self.rows):
+            at = rowof[node]
+            # a lane without a row reads a discarded entry (-1 wraps)
+            ahead = rows[at + ((addr64 >> (width - start - bits)) & ((1 << bits) - 1))]
+            node = np.where(at >= 0, ahead, node)
+        return node
+
+    def walk(self, addresses: np.ndarray, width: int = 32) -> tuple[np.ndarray, np.ndarray]:
+        """Per-address depth reached and LPM result on this snapshot."""
+        node = self.final_nodes(addresses, width)
         return self.levels[node], self.best[node]
 
 
-def _jump_walk(childflat: np.ndarray, patterns: np.ndarray, stride: int) -> np.ndarray:
-    """Node reached (or parked on) from the root after each
-    ``stride``-bit pattern: the jump-table entries for ``patterns``."""
-    node = np.zeros(len(patterns), dtype=np.int64)
-    for lvl in range(stride):
-        node = childflat[(node << 1) | ((patterns >> (stride - 1 - lvl)) & 1)]
+#: the two child bits a breadth-first walk step appends to each node
+_BIT = np.array([0, 1], dtype=np.int64)
+
+
+def _jump_walk(childflat: np.ndarray, origins, stride: int) -> np.ndarray:
+    """For each origin node, the ``2^stride`` nodes reached (or parked
+    on) after walking each ``stride``-bit pattern from it, in pattern
+    order, concatenated: the root jump table from ``[0]``, one
+    expansion row per window-start node.  Breadth first: step ``i``
+    gathers the ``2^i`` nodes under each origin, not all ``2^stride``
+    lanes."""
+    node = np.asarray(origins, dtype=np.int64)
+    for _ in range(stride):
+        node = childflat[((node << 1)[:, None] | _BIT).ravel()]
     return node
+
+
+def _window_rows(
+    childflat: np.ndarray, owners: np.ndarray, slots: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One window laid out from scratch: ``rowof`` over ``slots`` walk
+    slots, and the rows of ``owners`` in order."""
+    at = np.full(slots, -1, dtype=ROW)
+    at[owners] = np.arange(len(owners)) << bits
+    rows = np.empty(len(owners) << bits, dtype=ROW)
+    # 2^16 entries at a time: the walk's int64 temporaries stay small
+    step = (1 << 16) >> bits
+    for lo in range(0, len(owners), step):
+        part = owners[lo : lo + step]
+        rows[lo << bits : (lo + len(part)) << bits] = _jump_walk(childflat, part, bits)
+    return at, rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +189,9 @@ class UnibitTrie:
 
     #: root-stride of the frozen jump table (capped at the trie depth)
     JUMP_STRIDE = 16
+    #: levels one expansion window resolves after the jump (the last
+    #: window is cut short at the trie depth)
+    WINDOW_BITS = 8
 
     __slots__ = (
         "_left",
@@ -140,6 +203,7 @@ class UnibitTrie:
         "_frozen",
         "_base",
         "_capacity",
+        "_released_rows",
         "_pending",
         "_free",
         "width",
@@ -162,9 +226,11 @@ class UnibitTrie:
         # _capacity is 0 while it has the compact fresh layout
         self._base: FrozenWalk | None = None
         self._capacity = 0
-        # (prefix, split level) per update since _base was built, or
-        # None when the next freeze must be a full build
-        self._pending: list[tuple[Prefix, int]] | None = None
+        # per expansion window, the rows a patch released for reuse
+        self._released_rows: list[list[int]] = []
+        # (prefix, split level, freed slots) per update since _base
+        # was built, or None when the next freeze must be a full build
+        self._pending: list[tuple[Prefix, int, tuple[int, ...]]] | None = None
         # indices of withdrawn (unlinked) nodes available for reuse —
         # route withdrawal recycles storage instead of compacting
         self._free: list[int] = []
@@ -189,19 +255,20 @@ class UnibitTrie:
         self._level.append(level)
         return len(self._left) - 1
 
-    def _touch(self, prefix: Prefix, split: int) -> None:
+    def _touch(self, prefix: Prefix, split: int, freed: tuple[int, ...] = ()) -> None:
         """Mark the snapshot stale after an update along ``prefix``.
 
         ``split`` is the level of the node whose children changed (-1
-        when only an NHI changed).  The update is queued for the next
-        freeze to patch in; past ``16 + slots/32`` queued updates a
-        full build is cheaper, so the queue is dropped instead.
+        when only an NHI changed); ``freed`` the slots a withdrawal
+        pruned.  The update is queued for the next freeze to patch
+        in; past ``16 + slots/32`` queued updates a full build is
+        cheaper, so the queue is dropped instead.
         """
         self._frozen = None
         pending = self._pending
         if pending is not None:
             if len(pending) < 16 + (len(self._left) >> 5):
-                pending.append((prefix, split))
+                pending.append((prefix, split, freed))
             else:
                 self._pending = None
 
@@ -262,6 +329,7 @@ class UnibitTrie:
         self._prefix_count -= 1
         # prune upward: drop nodes that are now childless and carry no NHI
         split = -1
+        freed = []
         for depth in range(len(path) - 1, 0, -1):
             child = path[depth]
             if not self.is_leaf(child) or self._nhi[child] != NO_ROUTE:
@@ -272,9 +340,10 @@ class UnibitTrie:
             else:
                 self._right[parent] = NONE
             self._free.append(child)
+            freed.append(child)
             self._level_count[depth] -= 1
             split = depth - 1
-        self._touch(prefix, split)
+        self._touch(prefix, split, tuple(freed))
         return True
 
     # -- structure access ----------------------------------------------
@@ -431,10 +500,15 @@ class UnibitTrie:
         # jump table over the top stride bits: entry p is the node
         # reached (or parked on) after walking bit pattern p.
         stride = min(self.JUMP_STRIDE, depth)
-        jump = _jump_walk(childflat, np.arange(1 << stride, dtype=np.int64), stride)
+        jump = _jump_walk(childflat, [0], stride)
+        # one expansion row per internal node at each window's start
+        # (a freed slot is childless, so it never gets one)
+        windows = self._windows(stride, depth)
+        laid = [
+            _window_rows(childflat, np.flatnonzero(~childless & (levels == start)), n + m, bits)
+            for start, bits in windows
+        ]
         return FrozenWalk(
-            left=left,
-            right=right,
             nhi=nhi,
             levels=levels_walk,
             childflat=childflat,
@@ -442,7 +516,19 @@ class UnibitTrie:
             jump=jump,
             jump_stride=stride,
             depth=depth,
+            windows=windows,
+            rowof=tuple(at for at, _ in laid),
+            rows=tuple(table for _, table in laid),
         )
+
+    def _windows(self, stride: int, depth: int) -> tuple[tuple[int, int], ...]:
+        """``(start level, bits)`` of each expansion window after a
+        ``stride``-level jump: ``WINDOW_BITS`` levels each, the last
+        cut short at ``depth``; none for tries wider than 32 bits."""
+        if self.width > 32:
+            return ()
+        step = self.WINDOW_BITS
+        return tuple((start, min(step, depth - start)) for start in range(stride, depth, step))
 
     def _relayout(self, base: FrozenWalk) -> FrozenWalk:
         """``base`` (compact) re-laid out for patching.
@@ -450,9 +536,11 @@ class UnibitTrie:
         Trie slots get headroom up to a capacity of an eighth above
         the slot count, and every slot ``i`` gets its own parked slot
         at ``capacity + i``, so a node created or newly left with one
-        child needs no index shuffling.  Unused slots self-loop.
+        child needs no index shuffling.  Unused slots self-loop.  The
+        expansion rows keep their layout (a patch appends a row when
+        it needs one and no released row is left).
         """
-        n = len(base.left)
+        n = len(base.nhi)
         cap = n + (n >> 3) + 64
         remap = np.arange(len(base.levels), dtype=np.int64)
         flat = base.childflat[: 2 * n]
@@ -464,35 +552,44 @@ class UnibitTrie:
         levels[:n] = levels[cap : cap + n] = base.levels[:n]
         best = np.full(2 * cap, NO_ROUTE, dtype=np.int64)
         best[:n] = best[cap : cap + n] = base.best[:n]
-        slots = []
-        for array, fill in ((base.left, NONE), (base.right, NONE), (base.nhi, NO_ROUTE)):
-            padded = np.full(cap, fill, dtype=np.int64)
-            padded[:n] = array
-            slots.append(padded)
+        nhi = np.full(cap, NO_ROUTE, dtype=np.int64)
+        nhi[:n] = base.nhi
+        rowof = []
+        for owned in base.rowof:
+            padded = np.full(2 * cap, -1, dtype=ROW)
+            padded[:n] = owned[:n]
+            rowof.append(padded)
+        self._released_rows = [[] for _ in base.windows]
         self._capacity = cap
         return FrozenWalk(
-            left=slots[0],
-            right=slots[1],
-            nhi=slots[2],
+            nhi=nhi,
             levels=levels,
             childflat=childflat,
             best=best,
             jump=remap[base.jump],
             jump_stride=base.jump_stride,
             depth=base.depth,
+            windows=base.windows,
+            rowof=tuple(rowof),
+            rows=tuple(remap[old].astype(ROW) for old in base.rows),
         )
 
-    def _patch(self, base: FrozenWalk, pending: list[tuple[Prefix, int]]) -> FrozenWalk | None:
+    def _patch(
+        self, base: FrozenWalk, pending: list[tuple[Prefix, int, tuple[int, ...]]]
+    ) -> FrozenWalk | None:
         """The next snapshot derived from ``base`` and the ``pending``
-        updates, or None when only a full build will do (the jump
-        stride changed, or the slots outgrew the capacity).
+        updates, or None when only a full build will do: the jump
+        stride or the set of windows changed (a depth-24 table gains
+        a /28), or the slots outgrew the capacity.  A depth that only
+        drops trailing windows keeps the rest.
 
         ``base`` is never written: every array a patch changes is
         copied first, the rest are shared with the new snapshot.
         """
         depth = self.depth()
         stride = min(self.JUMP_STRIDE, depth)
-        if stride != base.jump_stride:
+        windows = self._windows(stride, depth)
+        if stride != base.jump_stride or windows != base.windows[: len(windows)]:
             return None
         if not self._capacity:
             base = self._relayout(base)
@@ -500,32 +597,43 @@ class UnibitTrie:
         if len(self._left) > cap:
             return None
         left_of, right_of, nhi_of = self._left, self._right, self._nhi
+        window_at = {start: k for k, (start, _) in enumerate(windows)}
         # Every node an update changed lies on the current path of its
         # prefix: the nodes it created, the one that gained or lost a
         # child, the one whose NHI changed.  Walk each path once,
         # carrying the nearest-ancestor NHI (the node's best) down it.
+        # A structural change inside a window queues the path's node
+        # at the window start for a row recompute; a slot the update
+        # freed is queued in every window, to give back any row.
         best_of: dict[int, int] = {}
+        owners: list[dict[int, None]] = [{} for _ in windows]
+        # (split level, its path bits) of each node above the jump
+        # stride whose children changed: the jump entries under it
         ranges: set[tuple[int, int]] = set()
         structural = False
-        for prefix, split in pending:
+        for prefix, split, freed in pending:
             node = 0
             run = nhi_of[0]
             best_of[0] = run
-            for level in range(prefix.length):
-                node = right_of[node] if prefix.bit(level) else left_of[node]
+            for level in range(1, prefix.length + 1):
+                node = right_of[node] if prefix.bit(level - 1) else left_of[node]
                 if node == NONE:
                     break
                 if nhi_of[node] != NO_ROUTE:
                     run = nhi_of[node]
                 best_of[node] = run
+                k = window_at.get(level)
+                if k is not None and 0 <= split < level + windows[k][1]:
+                    owners[k][node] = None
+            for queued in owners:
+                queued.update(dict.fromkeys(freed))
             if split >= 0:
                 structural = True
                 if split < stride:
-                    # the jump entries under the node at ``split``
                     top = 0
                     for level in range(split):
                         top = (top << 1) | prefix.bit(level)
-                    ranges.add((top << (stride - split), 1 << (stride - split)))
+                    ranges.add((split, top))
         count = len(best_of)
         touched = np.fromiter(best_of, dtype=np.int64, count=count)
         values = np.fromiter(best_of.values(), dtype=np.int64, count=count)
@@ -535,16 +643,15 @@ class UnibitTrie:
         changed = touched[best[touched] != values]
         best[touched] = values
         best[touched + cap] = values
-        left, right, levels = base.left, base.right, base.levels
-        childflat, jump = base.childflat, base.jump
+        writes = {"childflat": 0, "best": 2 * count, "jump": 0, "rows": 0}
+        levels, childflat, jump = base.levels, base.childflat, base.jump
+        kept = len(windows)
+        rowof, rows = list(base.rowof[:kept]), list(base.rows[:kept])
+        del self._released_rows[kept:]
         if structural:
             lv = np.fromiter((left_of[i] for i in best_of), dtype=np.int64, count=count)
             rv = np.fromiter((right_of[i] for i in best_of), dtype=np.int64, count=count)
             lev = np.fromiter((self._level[i] for i in best_of), dtype=np.int64, count=count)
-            left = left.copy()
-            left[touched] = lv
-            right = right.copy()
-            right[touched] = rv
             levels = levels.copy()
             levels[touched] = lev
             levels[touched + cap] = lev
@@ -558,28 +665,46 @@ class UnibitTrie:
             childflat[(touched << 1) | 1] = np.where(
                 rv == NONE, np.where(lv == NONE, touched, parked), rv
             )
+            writes["childflat"] = 2 * count
             if ranges:
                 jump = jump.copy()
-                for lo, span in ranges:
-                    patterns = np.arange(lo, lo + span, dtype=np.int64)
-                    jump[lo : lo + span] = _jump_walk(childflat, patterns, stride)
+                for split, top in ranges:
+                    # descend to the node (or park) over the range, and
+                    # re-walk the range from there
+                    node = 0
+                    for level in range(split):
+                        node = childflat[(node << 1) | ((top >> (split - 1 - level)) & 1)]
+                    lo, span = top << (stride - split), 1 << (stride - split)
+                    jump[lo : lo + span] = _jump_walk(childflat, [node], stride - split)
+                    writes["jump"] += span
+            for k, window in enumerate(windows):
+                if owners[k]:
+                    writes["rows"] += self._patch_rows(k, window, owners[k], rowof, rows, childflat)
         # a changed best flows down to every descendant without its
-        # own NHI, one level per step
+        # own NHI, one level per step (a missing child self-loops or
+        # parks at or past ``cap``)
         front = changed
         while len(front):
-            kids = np.concatenate([left[front], right[front]])
+            kids = childflat[np.concatenate([front << 1, (front << 1) | 1])]
             parents = np.concatenate([front, front])
-            real = kids != NONE
+            real = (kids != parents) & (kids < cap)
             kids, parents = kids[real], parents[real]
             inherit = nhi[kids] == NO_ROUTE
             kids = kids[inherit]
             inherited = best[parents[inherit]]
             best[kids] = inherited
             best[kids + cap] = inherited
+            writes["best"] += 2 * len(kids)
             front = kids
+        if REGISTRY.enabled:  # one branch per patch; zero overhead off
+            family = REGISTRY.counter(
+                "repro_trie_patch_writes_total",
+                "Frozen walk entries a patch wrote, per array",
+                labels=("array",),
+            )
+            for array, written in writes.items():
+                family.labels(array).inc(written)
         return FrozenWalk(
-            left=left,
-            right=right,
             nhi=nhi,
             levels=levels,
             childflat=childflat,
@@ -587,7 +712,64 @@ class UnibitTrie:
             jump=jump,
             jump_stride=stride,
             depth=depth,
+            windows=windows,
+            rowof=tuple(rowof),
+            rows=tuple(rows),
         )
+
+    def _patch_rows(
+        self,
+        k: int,
+        window: tuple[int, int],
+        queued: dict[int, None],
+        rowof: list[np.ndarray],
+        rows: list[np.ndarray],
+        childflat: np.ndarray,
+    ) -> int:
+        """Bring window ``k``'s rows up to date for the ``queued``
+        slots, replacing ``rowof[k]``/``rows[k]`` by patched copies.
+
+        A queued slot that is now an internal node at the window start
+        keeps its row, or takes one a patch released, or else a new
+        one appended to the rows; the row is recomputed over the
+        patched ``childflat``.  Any other queued slot gives its row
+        back, so a freed slot reused at another level carries no stale
+        row.  Returns the row entries written.
+        """
+        start, bits = window
+        at = rowof[k]
+        released = self._released_rows[k]
+        used = len(rows[k]) >> bits
+        refresh, offsets = [], []
+        moved: dict[int, int] = {}  # slot -> its new rowof entry
+        for slot in queued:
+            offset = int(at[slot])
+            if self._level[slot] == start and not self.is_leaf(slot):
+                if offset < 0:
+                    if released:
+                        row = released.pop()
+                    else:
+                        row, used = used, used + 1
+                    offset = moved[slot] = row << bits
+                refresh.append(slot)
+                offsets.append(offset)
+            elif offset >= 0:
+                moved[slot] = -1
+                released.append(offset >> bits)
+        if moved:
+            at = at.copy()
+            at[list(moved)] = list(moved.values())
+            rowof[k] = at
+        if refresh:
+            span = 1 << bits
+            entries = (np.array(offsets, dtype=np.int64)[:, None] + np.arange(span)).ravel()
+            # the one copy of the rows this patch makes, appended rows
+            # included
+            grown = (used << bits) - len(rows[k])
+            patched = np.concatenate([rows[k], np.empty(grown, ROW)]) if grown else rows[k].copy()
+            patched[entries] = _jump_walk(childflat, refresh, bits)
+            rows[k] = patched
+        return len(refresh) << bits
 
     def freeze(self) -> FrozenWalk:
         """Build (or return) the frozen structure-of-arrays walk state.
@@ -598,11 +780,18 @@ class UnibitTrie:
         snapshot answering the old table; the next freeze (or batch)
         patches a new snapshot from it copy-on-write, touching only
         the nodes on the updated prefixes' paths, their parked slots,
-        the jump entries under a changed node above the jump stride
-        and ``best`` down a subtree whose inherited NHI changed.  A
-        full build happens instead on the first freeze, after more
-        pending updates than ``16 + slots/32``, when the slots outgrow
-        the patch capacity, or when the jump stride changes.
+        the jump entries under a changed node above the jump stride,
+        ``best`` down a subtree whose inherited NHI changed, and the
+        expansion row of each window-start node on a path whose window
+        holds a structural change (an NHI-only update writes no row).
+        A node newly internal at a window start takes a released row,
+        or a new one appended to the rows; a node no longer internal
+        there, or a freed slot, gives its row back.  A full build
+        happens instead on the first freeze, after more pending
+        updates than ``16 + slots/32``, when the slots outgrow the
+        patch capacity, or when the jump stride or the set of windows
+        changes (a depth that only drops trailing windows keeps the
+        rest).
         """
         return self._freeze()
 
@@ -627,14 +816,15 @@ class UnibitTrie:
         Runs over the current :class:`FrozenWalk` snapshot (patched
         first if updates are pending, see :meth:`freeze`): the root
         jump table resolves the first ``jump_stride`` levels with a
-        single gather, every remaining level is one gather over the
-        flat self-looping child array, and the per-lane depth and LPM
-        answer come from two final gathers (``levels`` / ``best``) —
-        no per-call array setup and no per-level masking.  The depth
-        is the number of levels the walk descended — the quantity the
-        pipeline simulator converts into per-stage memory accesses.
-        Tries wider than 32 bits (the IPv6 extension) fall back to
-        scalar walks — their addresses exceed the NumPy word size.
+        single gather, each 8-bit expansion window after it one row
+        gather (two at most for IPv4), and the per-lane depth and LPM
+        answer come from two final gathers (``levels`` / ``best``) on
+        the unibit node the bit-by-bit walk would end on — no per-call
+        array setup and no per-level loop.  The depth is the number of
+        levels the walk descended — the quantity the pipeline
+        simulator converts into per-stage memory accesses.  Tries
+        wider than 32 bits (the IPv6 extension) fall back to scalar
+        walks — their addresses exceed the NumPy word size.
         """
         if self.width > 32:
             n = len(addresses)
@@ -661,8 +851,8 @@ class UnibitTrie:
     def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorized LPM over an array of addresses.
 
-        Shares the level-synchronous walk of :meth:`walk_batch`
-        (discarding the depths).
+        Shares the snapshot walk of :meth:`walk_batch` (discarding the
+        depths).
         """
         return self.walk_batch(addresses)[1]
 

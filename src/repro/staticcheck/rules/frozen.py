@@ -1,9 +1,9 @@
 """Frozen-structure mutation rules (FRZ001, FRZ002).
 
-``MergedTrie`` (PR 2) and ``PatriciaTrie`` freeze their lookup arrays
-at construction; the vectorized hot paths, the merged-view
-invalidation bookkeeping, and the per-VN power attribution all assume
-the structures never change afterwards.  That contract lives in
+``MergedTrie``, ``PatriciaTrie`` and a ``UnibitTrie``'s ``FrozenWalk``
+snapshot freeze their lookup arrays at construction; the vectorized
+hot paths, the merged-view invalidation bookkeeping, and the per-VN
+power attribution all assume the structures never change afterwards.  That contract lives in
 docstrings — these rules make it machine-checked:
 
 * **FRZ001** — a direct write to an attribute of a frozen structure:
@@ -33,6 +33,9 @@ __all__ = ["FrozenDirectMutation", "FrozenMutationViaHelper", "DEFAULT_FROZEN_CL
 DEFAULT_FROZEN_CLASSES: dict[str, list[str]] = {
     "MergedTrie": ["__init__"],
     "PatriciaTrie": ["__init__", "_new_node", "_build"],
+    # a trie's walk snapshot: its arrays are read-only from birth, and
+    # no method (its __post_init__ included) assigns through self
+    "FrozenWalk": [],
 }
 
 

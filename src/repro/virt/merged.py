@@ -74,13 +74,13 @@ class MergedTrie:
     is patched after every mutating insert/remove.
     """
 
-    #: root-stride of the precomputed jump table (a 2^s-entry direct
-    #: index over the top s address bits, skipping the first s levels
-    #: of the walk — the same idea as a multibit root table).  The
-    #: table itself now comes from the structure's shared
-    #: :class:`~repro.iplookup.trie.FrozenWalk`, whose stride is
-    #: :attr:`UnibitTrie.JUMP_STRIDE`; this mirror is kept for
-    #: documentation and so existing consumers can read the stride.
+    #: root-stride of the jump table the merged walk starts with (a
+    #: 2^s-entry direct index over the top s address bits, the same
+    #: idea as a multibit root table).  The walk itself — jump, then
+    #: one gather per 8-bit expansion window — is the structure's
+    #: :class:`~repro.iplookup.trie.FrozenWalk`, shared with the
+    #: per-VN engines; this mirror of :attr:`UnibitTrie.JUMP_STRIDE`
+    #: is kept so existing consumers can read the stride.
     JUMP_STRIDE = UnibitTrie.JUMP_STRIDE
 
     __slots__ = (
@@ -89,13 +89,8 @@ class MergedTrie:
         "_vectors",
         "union_input_nodes",
         "sum_input_nodes",
-        "_childflat",
-        "_leaf",
-        "_levels",
+        "_frozen",
         "_nhi_matrix",
-        "_depth",
-        "_jump",
-        "_jump_stride",
     )
 
     def __init__(
@@ -113,37 +108,29 @@ class MergedTrie:
         self._vectors = vectors
         self.union_input_nodes = union_input_nodes
         self.sum_input_nodes = sum_input_nodes
-        # freeze the lookup arrays once — the structure is immutable
-        # (see class docstring), so no per-call revalidation is needed.
-        # The per-VN engines share the exact same FrozenWalk layout
-        # (flat self-looping child array, levels, root jump table);
-        # for a full trie the frozen arrays carry no parked nodes, so
-        # every walk lands on a real leaf index, which is what lets
-        # the 2-D NHI gather below index the leaf's vector directly.
+        # freeze the walk once — the structure is immutable (see class
+        # docstring), so no per-call revalidation is needed.  The
+        # per-VN engines walk the exact same FrozenWalk layout (root
+        # jump table, expansion rows, levels); for a full trie the
+        # frozen arrays carry no parked nodes, so every walk lands on
+        # a real leaf index, which is what lets the 2-D NHI gather
+        # below index the leaf's vector directly.
         frozen = structure._freeze()
-        left, right = frozen.left, frozen.right
-        n_nodes = len(left)
+        n_nodes = len(frozen.nhi)
         if len(frozen.childflat) != 2 * n_nodes:
             raise MergeError(
                 "merged structure must be full (leaf-pushed): a node with "
                 "exactly one child cannot carry a per-leaf NHI vector"
             )
-        self._leaf = left == NONE  # full trie: leaf iff left child missing
-        self._depth = frozen.depth
-        self._levels = frozen.levels
-        self._childflat = frozen.childflat
-        leaves = np.flatnonzero(self._leaf)
+        self._frozen = frozen
+        # full trie: leaf iff its (missing) left child self-loops
+        leaves = np.flatnonzero(frozen.childflat[0::2] == np.arange(n_nodes))
         self._nhi_matrix = np.full((n_nodes, k), NO_ROUTE, dtype=np.int64)
         for node in leaves:
             vector = vectors[node]
             if vector is None:
                 raise MergeError(f"leaf node {node} is missing its NHI vector")
             self._nhi_matrix[node] = vector
-        # jump table over the top s bits: entry p is the node reached
-        # after walking the s-bit pattern p from the root (or the leaf
-        # the walk parked on above level s).
-        self._jump_stride = frozen.jump_stride
-        self._jump = frozen.jump
 
     # -- merging efficiency ------------------------------------------------
 
@@ -206,11 +193,12 @@ class MergedTrie:
         Returns per-pair ``(depths, results)``: the level of the leaf
         each address lands on (stages the shared engine touches) and
         the VN's next hop gathered from that leaf's K-wide vector.
-        The jump table resolves the first ``s`` levels with one
-        gather; the remaining levels are one gather each over the
-        flat self-looping child array; depths come from the frozen
-        node-level array and results from a single 2-D NumPy gather
-        ``nhi_matrix[leaf, vnid]`` — no per-packet Python anywhere.
+        The structure's frozen snapshot finds the leaves — the same
+        walk the per-VN engines run: one jump-table gather, then one
+        row gather per 8-bit expansion window; depths come from the
+        frozen node-level array and results from a single 2-D NumPy
+        gather ``nhi_matrix[leaf, vnid]`` — no per-packet Python
+        anywhere.  IPv4 only: a wider structure raises.
         """
         addresses = np.asarray(addresses, dtype=np.uint32)
         vnids = np.asarray(vnids, dtype=np.int64)
@@ -218,16 +206,11 @@ class MergedTrie:
             raise MergeError("addresses and vnids must have the same shape")
         if len(addresses) and (vnids.min() < 0 or vnids.max() >= self.k):
             raise MergeError("vnid out of range")
-        addr64 = addresses.astype(np.int64)
-        stride = self._jump_stride
-        if stride:
-            node = self._jump[addr64 >> (32 - stride)]
-        else:
-            node = np.zeros(len(addresses), dtype=np.int64)
-        childflat = self._childflat
-        for lvl in range(stride, self._depth):
-            node = childflat[(node << 1) | ((addr64 >> (31 - lvl)) & 1)]
-        depths = self._levels[node]
+        if self.structure.width > 32:
+            raise MergeError("the vectorized merged walk needs addresses of at most 32 bits")
+        frozen = self._frozen
+        node = frozen.final_nodes(addresses, self.structure.width)
+        depths = frozen.levels[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
             REGISTRY.counter(
                 "repro_trie_node_visits_total",

@@ -3,7 +3,10 @@
 ``MergedTrie`` shares its name with the real frozen structure, so the
 FRZ pack's default class list applies: only ``__init__`` may mutate
 ``self``, and nothing may mutate an instance after construction.
+``FrozenWalk`` (a trie's walk snapshot) has no mutating method at all.
 """
+
+from repro.iplookup.trie import FrozenWalk
 
 
 class MergedTrie:
@@ -36,3 +39,8 @@ def insert(trie: MergedTrie, node):
     """FRZ002: forwards a frozen instance into a mutating helper."""
     _push(trie, node)
     return trie
+
+
+def repoint(walk: FrozenWalk, pattern, node):
+    """FRZ001: a write through a parameter annotated as a snapshot."""
+    walk.jump[pattern] = node

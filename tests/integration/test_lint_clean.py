@@ -60,6 +60,9 @@ def test_seeded_corpus_trips_every_project_pack():
         by_file.setdefault(Path(finding.path).name, set()).add(finding.rule)
     assert by_file["cache_poison.py"] == {"DET001", "DET002", "DET003", "DET004"}
     assert by_file["frozen_mutation.py"] == {"FRZ001", "FRZ002"}
+    # the write through a FrozenWalk-annotated parameter is one of them
+    snapshot_writes = [f.rule for f in report.findings if "'FrozenWalk'" in f.message]
+    assert snapshot_writes == ["FRZ001"]
     assert by_file["undocumented_metric.py"] == {"OBS001", "OBS002", "OBS003", "OBS004"}
     assert by_file["async_blocking.py"] == {"CONC001", "CONC002", "CONC003"}
     assert by_file["async_shard.py"] == {"CONC001", "CONC003"}

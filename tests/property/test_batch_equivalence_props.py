@@ -1,6 +1,6 @@
 """Property tests: every batch lookup equals its scalar counterpart.
 
-The vectorized hot paths (level-synchronous walks, jump tables, 2-D
+The vectorized hot paths (jump-table and expansion-row walks, 2-D
 NHI gathers) must be behaviour-preserving refactors of the scalar
 ``lookup`` loops.  Hypothesis pins that down structure by structure:
 ``lookup_batch(addrs) == [lookup(a) for a in addrs]`` on random RIBs,

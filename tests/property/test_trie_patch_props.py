@@ -13,7 +13,11 @@ after every lookup
   as it was then.
 
 Prefix lengths run 0–32, so changes above level 16 (inside the root
-jump table) and withdrawals back down to a bare root both occur.
+jump table) and withdrawals back down to a bare root both occur.  The
+expansion rows get targeted cases: a freed row owner reused at another
+level (in the same patch and in the next); the depth crossing 24,
+which changes the set of windows and so takes a full build; and new
+row owners, which take released rows or rows appended in the patch.
 """
 
 import numpy as np
@@ -186,3 +190,101 @@ def test_withdraw_and_reuse_slots_without_lookups_between():
     assert _freeze_kind(trie) == "patch"
     check_against_fresh(trie, table, probe_addresses(table.prefixes()))
     assert np.array_equal(old.walk(probe)[1], old_answers)
+
+
+def _row_owners(snapshot) -> list[set[int]]:
+    """Per expansion window, the trie slots that own a row."""
+    cap = len(snapshot.nhi)
+    return [set(np.flatnonzero(at[:cap] >= 0).tolist()) for at in snapshot.rowof]
+
+
+def test_freed_row_owner_reused_at_another_level():
+    """A slot that owned a window-16 row is freed, then reused as a
+    level-12 leaf that lanes park on: the patch must drop its row, or
+    those lanes would jump through the stale row into the old subtree."""
+    table = RoutingTable.from_strings([("1.2.3.4/32", 0), ("10.1.2.0/24", 1)])
+    trie = UnibitTrie(table)
+    old = trie.freeze()
+    old_answers = old.walk(probe_addresses(table.prefixes()))[1]
+    owners16 = _row_owners(old)[0]
+    for together in (False, True):
+        trie.remove(parse_prefix("10.1.2.0/24"))
+        table.remove(parse_prefix("10.1.2.0/24"))
+        if not together:
+            assert _freeze_kind(trie) == "patch"
+            gone = parse_prefix("10.1.2.0/24")
+            check_against_fresh(trie, table, probe_addresses([*table.prefixes(), gone]))
+        # new nodes at levels 1..12 take the freed slots
+        trie.insert(parse_prefix("192.160.0.0/12"), 2)
+        table.add(parse_prefix("192.160.0.0/12"), 2)
+        reused = [slot for slot in owners16 if trie.level(slot) != 16 and trie.level(slot) > 0]
+        leaf = [slot for slot in reused if trie.is_leaf(slot) and trie.nhi(slot) == 2]
+        assert leaf, "the scenario must reuse a row owner as the new leaf"
+        assert _freeze_kind(trie) == "patch"
+        snapshot = trie.freeze()
+        assert all(snapshot.rowof[0][slot] < 0 for slot in reused)
+        check_against_fresh(trie, table, probe_addresses(table.prefixes()))
+        # and back again, for the second round
+        trie.remove(parse_prefix("192.160.0.0/12"))
+        table.remove(parse_prefix("192.160.0.0/12"))
+        trie.insert(parse_prefix("10.1.2.0/24"), 1)
+        table.add(parse_prefix("10.1.2.0/24"), 1)
+        check_against_fresh(trie, table, probe_addresses(table.prefixes()))
+        owners16 = _row_owners(trie.freeze())[0]
+    assert np.array_equal(old.walk(probe_addresses(table.prefixes()))[1], old_answers)
+
+
+def test_depth_crossing_24_changes_the_windows():
+    """A depth-24 table has one window; a /28 adds a short second one
+    and a /30 widens it, each a full build; a second /28 keeps the
+    windows, and withdrawing back to depth 24 only drops the second
+    window: both patches."""
+    table = RoutingTable.from_strings([("10.1.2.0/24", 1), ("10.3.0.0/16", 2)])
+    trie = UnibitTrie(table)
+    probe = probe_addresses([*table.prefixes(), parse_prefix("10.1.2.16/28"),
+                             parse_prefix("10.1.2.40/30")])
+    assert trie.freeze().windows == ((16, 8),)
+    assert _freeze_kind(trie) is None
+    for text, nh, windows, kind in [("10.1.2.16/28", 3, ((16, 8), (24, 4)), "full"),
+                                    ("10.1.2.32/28", 4, ((16, 8), (24, 4)), "patch"),
+                                    ("10.1.2.40/30", 5, ((16, 8), (24, 6)), "full")]:
+        trie.insert(parse_prefix(text), nh)
+        table.add(parse_prefix(text), nh)
+        assert _freeze_kind(trie) == kind
+        assert trie.freeze().windows == windows
+        check_against_fresh(trie, table, probe)
+    for text in ("10.1.2.16/28", "10.1.2.32/28", "10.1.2.40/30"):
+        trie.remove(parse_prefix(text))
+        table.remove(parse_prefix(text))
+    assert _freeze_kind(trie) == "patch"
+    assert trie.freeze().windows == ((16, 8),)
+    check_against_fresh(trie, table, probe)
+
+
+def test_rows_grow_without_a_full_build():
+    """Each node that becomes internal at level 16 takes a row appended
+    inside the patch; once a withdrawal releases a row, the next new
+    owner takes it and the rows stop growing."""
+    table = RoutingTable.from_strings([(f"10.0.{i}.0/24", i % 7) for i in range(256)])
+    trie = UnibitTrie(table)
+    trie.freeze()
+    probe = probe_addresses([*table.prefixes(), parse_prefix("11.0.0.0/8")])
+    assert _freeze_kind(trie) is None
+    for x in range(12):
+        prefix = parse_prefix(f"11.{x}.0.0/17")
+        trie.insert(prefix, x)
+        table.add(prefix, x)
+        assert _freeze_kind(trie) == "patch"
+        assert len(trie.freeze().rows[0]) >> 8 == x + 2  # 11.0-x/16 and 10.0/16
+        check_against_fresh(trie, table, probe_addresses([*table.prefixes(), prefix]))
+    gone = parse_prefix("11.0.0.0/17")
+    trie.remove(gone)
+    table.remove(gone)
+    assert _freeze_kind(trie) == "patch"
+    check_against_fresh(trie, table, probe_addresses([*table.prefixes(), gone]))
+    trie.insert(parse_prefix("12.0.0.0/17"), 5)
+    table.add(parse_prefix("12.0.0.0/17"), 5)
+    assert _freeze_kind(trie) == "patch"
+    assert len(trie.freeze().rows[0]) >> 8 == 13
+    check_against_fresh(trie, table, probe_addresses([*table.prefixes(), gone]))
+    check_against_fresh(trie, table, probe)

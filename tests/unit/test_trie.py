@@ -166,3 +166,82 @@ class TestFreezeTelemetry:
                 trie.lookup_batch(addresses)
             assert family.labels("full").value - full0 == 1
             assert family.labels("patch").value - patch0 == 100
+
+    def test_nhi_only_updates_write_no_rows(self):
+        """``repro_trie_patch_writes_total``: an NHI-only update writes
+        no row, child or jump entry; a structural one inside the
+        ``[16, 24)`` window rewrites a whole row."""
+        from repro.obs.registry import REGISTRY
+
+        trie = UnibitTrie(_rows_table())
+        trie.freeze()
+        with REGISTRY.enabled_scope():
+            family = REGISTRY.counter(
+                "repro_trie_patch_writes_total",
+                "Frozen walk entries a patch wrote, per array",
+                labels=("array",),
+            )
+
+            def written(update) -> dict[str, float]:
+                arrays = ("childflat", "best", "jump", "rows")
+                before = {a: family.labels(a).value for a in arrays}
+                update()
+                trie.freeze()
+                return {a: family.labels(a).value - before[a] for a in arrays}
+
+            nhi_only = written(lambda: trie.insert(parse_prefix("10.1.2.0/24"), 9))
+            assert nhi_only["rows"] == nhi_only["childflat"] == nhi_only["jump"] == 0
+            assert nhi_only["best"] > 0
+            structural = written(lambda: trie.insert(parse_prefix("10.1.3.0/24"), 4))
+            # one level-16 owner re-expanded: a whole 2^8-entry row
+            assert structural["rows"] >= 1 << UnibitTrie.WINDOW_BITS
+            assert structural["childflat"] > 0
+
+
+def _rows_table():
+    """Two windows (depth 32) with row owners at levels 16 and 24."""
+    from repro.iplookup.rib import RoutingTable
+
+    return RoutingTable.from_strings(
+        [("1.2.3.4/32", 0), ("10.1.0.0/16", 1), ("10.1.2.0/24", 2), ("10.1.2.128/25", 3)]
+    )
+
+
+class TestSnapshotImmutability:
+    def _arrays(self, snapshot):
+        return [snapshot.nhi, snapshot.levels, snapshot.childflat, snapshot.best,
+                snapshot.jump, *snapshot.rowof, *snapshot.rows]
+
+    def test_every_held_array_is_read_only(self):
+        trie = UnibitTrie(_rows_table())
+        fresh = trie.freeze()
+        trie.insert(parse_prefix("10.1.3.0/24"), 4)
+        patched = trie.freeze()
+        for snapshot in (fresh, patched):
+            assert len(snapshot.rows) == 2
+            for array in self._arrays(snapshot):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+    def test_patch_leaves_the_previous_snapshot_unchanged(self):
+        trie = UnibitTrie(_rows_table())
+        addresses = np.array(
+            [parse_address(a) for a in ("10.1.2.70", "10.1.2.200", "10.1.3.7", "10.1.9.9")],
+            dtype=np.uint32,
+        )
+        old = trie.freeze()
+        held = [array.copy() for array in self._arrays(old)]
+        answers = old.walk(addresses)
+        # structural updates in both windows
+        trie.insert(parse_prefix("10.1.3.0/24"), 4)
+        trie.insert(parse_prefix("10.1.2.64/26"), 5)
+        trie.remove(parse_prefix("10.1.2.128/25"))
+        new = trie.freeze()
+        assert not all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(new)[5:], held[5:])
+        ), "the patch should have rewritten some expansion row"
+        for array, copy in zip(self._arrays(old), held):
+            assert np.array_equal(array, copy)
+        assert all(np.array_equal(a, b) for a, b in zip(old.walk(addresses), answers))
+        assert old.walk(addresses)[1].tolist() == [2, 3, 1, 1]
+        assert new.walk(addresses)[1].tolist() == [5, 2, 4, 1]
